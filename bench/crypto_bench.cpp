@@ -61,6 +61,74 @@ void BM_EcdsaVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_EcdsaVerify);
 
+void BM_DerivePublic(benchmark::State& state) {
+  util::Rng rng(9);
+  const auto key = crypto::KeyPair::generate(rng);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(crypto::secp256k1::derive_public(key.private_key()));
+}
+BENCHMARK(BM_DerivePublic);
+
+// Field and scalar arithmetic: a chain of dependent operations, so each
+// iteration measures latency rather than overlapped throughput.
+crypto::U256 bench_element(std::uint64_t seed) {
+  util::Rng rng(seed);
+  return crypto::secp256k1::Fp().reduce(
+      {rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.next_u64()});
+}
+
+void BM_FieldMul(benchmark::State& state) {
+  const auto& fp = crypto::secp256k1::Fp();
+  crypto::U256 a = bench_element(10);
+  const crypto::U256 b = bench_element(11);
+  for (auto _ : state) {
+    a = fp.mul(a, b);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_FieldMul);
+
+void BM_FieldSqr(benchmark::State& state) {
+  const auto& fp = crypto::secp256k1::Fp();
+  crypto::U256 a = bench_element(12);
+  for (auto _ : state) {
+    a = fp.sqr(a);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_FieldSqr);
+
+void BM_FieldInv(benchmark::State& state) {
+  const auto& fp = crypto::secp256k1::Fp();
+  crypto::U256 a = bench_element(13);
+  for (auto _ : state) {
+    a = fp.inv(a);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_FieldInv);
+
+void BM_ScalarMul(benchmark::State& state) {
+  const auto& fn = crypto::secp256k1::Fn();
+  crypto::U256 a = fn.reduce(bench_element(14));
+  const crypto::U256 b = fn.reduce(bench_element(15));
+  for (auto _ : state) {
+    a = fn.mul(a, b);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_ScalarMul);
+
+void BM_ScalarInv(benchmark::State& state) {
+  const auto& fn = crypto::secp256k1::Fn();
+  crypto::U256 a = fn.reduce(bench_element(16));
+  for (auto _ : state) {
+    a = fn.inv(a);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_ScalarInv);
+
 void BM_KeyGeneration(benchmark::State& state) {
   util::Rng rng(6);
   for (auto _ : state) benchmark::DoNotOptimize(crypto::KeyPair::generate(rng));

@@ -45,6 +45,11 @@ echo "== trie_bench: incremental state-commitment smoke =="
 echo "== trie differential fuzz: 400 rounds incremental vs full recompute =="
 SC_TRIE_FUZZ_ROUNDS=400 ctest --test-dir build --output-on-failure -R TrieDifferentialFuzz
 
+echo "== secp256k1 differential fuzz: 2000 rounds fast path vs reference =="
+# Field ops, k·G, k·P, sign and verify verdicts against the slow generic
+# oracle (tests/secp256k1_reference.hpp), plus the pinned golden digest.
+SC_SECP_FUZZ_ROUNDS=2000 ctest --test-dir build --output-on-failure -R "Secp256k1(Golden|Differential)"
+
 echo "== exec_bench: parallel-executor smoke =="
 ./build/bench/exec_bench --runs=small --out=build/BENCH_exec_smoke.json
 
@@ -92,6 +97,11 @@ echo "== ASan/UBSan: failpoint framework + chaos smoke =="
 ctest --test-dir build-asan --output-on-failure -R "Fault"
 SC_CHAOS_SCHEDULES=4 ctest --test-dir build-asan --output-on-failure -R Chaos
 
+echo "== ASan/UBSan: secp256k1 fast path differential fuzz =="
+# __int128 carries, limb shifts and the wNAF/comb table indexing are where
+# undefined behaviour would hide; rerun the oracle comparison sanitized.
+SC_SECP_FUZZ_ROUNDS=300 ctest --test-dir build-asan --output-on-failure -R "Secp256k1"
+
 echo "== ASan/UBSan: symbolic execution engine (120s budget) =="
 # Solver + explorer + witness replay under sanitizers: the symex unit tests
 # plus the sanitized deep/corpus lint passes.
@@ -108,6 +118,11 @@ if [ -z "${SKIP_TSAN:-}" ]; then
   echo "== TSan: parallel executor differential (vs sequential + legacy) =="
   cmake --build build-tsan --target chain_parallel_test -j "$jobs"
   ctest --test-dir build-tsan --output-on-failure -R ParallelExec
+
+  echo "== TSan: fixed-base G table built under concurrent first use =="
+  # Its own ctest process, so four signing threads race to the cold table.
+  cmake --build build-tsan --target crypto_secp256k1_diff_test -j "$jobs"
+  ctest --test-dir build-tsan --output-on-failure -R ColdTableSignFromFourThreads
 
   echo "== TSan: crash/restart + pull-sync node tests =="
   cmake --build build-tsan --target core_node_test -j "$jobs"

@@ -512,8 +512,9 @@ bool Blockchain::is_confirmed(const Hash256& block_id, std::uint64_t depth) cons
 }
 
 std::optional<TxLocation> Blockchain::find_transaction(const Hash256& tx_id) const {
-  const auto it = tx_index_.find(tx_id);
-  if (it == tx_index_.end()) return std::nullopt;
+  const auto& index = tx_index();
+  const auto it = index.find(tx_id);
+  if (it == index.end()) return std::nullopt;
   return it->second;
 }
 
@@ -572,6 +573,7 @@ void Blockchain::extend_canonical(const Hash256& id) {
   // Only valid when `id`'s parent is the current canonical head; height was
   // validated as parent+1, so it lands exactly at canonical_.size().
   canonical_.push_back(id);
+  if (tx_index_stale_) return;  // the rebuild will cover this block
   const Block* blk = block(id);
   const std::uint64_t h = canonical_.size() - 1;
   for (std::size_t i = 0; i < blk->transactions.size(); ++i)
@@ -581,6 +583,7 @@ void Blockchain::extend_canonical(const Hash256& id) {
 void Blockchain::reindex_canonical() {
   canonical_.clear();
   tx_index_.clear();
+  tx_index_stale_ = true;
   // Walk back from the head to genesis.
   Hash256 cursor = best_head_;
   std::vector<Hash256> reversed;
@@ -591,11 +594,18 @@ void Blockchain::reindex_canonical() {
     cursor = entry.block.header.prev_id;
   }
   canonical_.assign(reversed.rbegin(), reversed.rend());
-  for (std::uint64_t h = 0; h < canonical_.size(); ++h) {
-    const Block* blk = block(canonical_[h]);
-    for (std::size_t i = 0; i < blk->transactions.size(); ++i)
-      tx_index_[blk->transactions[i].id()] = TxLocation{canonical_[h], h, i};
+}
+
+const std::unordered_map<Hash256, TxLocation>& Blockchain::tx_index() const {
+  if (tx_index_stale_) {
+    for (std::uint64_t h = 0; h < canonical_.size(); ++h) {
+      const Block* blk = block(canonical_[h]);
+      for (std::size_t i = 0; i < blk->transactions.size(); ++i)
+        tx_index_[blk->transactions[i].id()] = TxLocation{canonical_[h], h, i};
+    }
+    tx_index_stale_ = false;
   }
+  return tx_index_;
 }
 
 }  // namespace sc::chain

@@ -126,6 +126,7 @@ class Blockchain {
   /// submit_block feeds it; hand it to Mempool::set_sig_cache so admission
   /// and block validation verify each signature once between them.
   SigCache& sig_cache() { return sig_cache_; }
+  const SigCache& sig_cache() const { return sig_cache_; }
 
   /// Validates and connects a block. Returns false with a reason if the
   /// block is malformed, unlinked, fails PoW, or fails execution checks.
@@ -256,9 +257,14 @@ class Blockchain {
     std::uint64_t arrival_order = 0;  ///< Tie-break: first seen wins.
   };
 
+  /// Rebuilds canonical_ from the head and marks the tx index stale.
   void reindex_canonical();
   /// O(block) canonical/tx-index append for the head-extends-head fast path.
   void extend_canonical(const Hash256& id);
+  /// The canonical tx index, rebuilt here if a reindex left it stale: one
+  /// Keccak per canonical transaction, paid by the first lookup rather than
+  /// by every reorg and by open() replay.
+  const std::unordered_map<Hash256, TxLocation>& tx_index() const;
   /// Blocks abandoned when the head moved from `old_head` to a block that
   /// does not extend it (0 for plain extensions).
   std::uint64_t reorg_depth(const Hash256& old_head) const;
@@ -296,7 +302,10 @@ class Blockchain {
   std::uint64_t arrival_counter_ = 0;
   /// Canonical chain indices, rebuilt on head change.
   std::vector<Hash256> canonical_;                       ///< height -> block id
-  std::unordered_map<Hash256, TxLocation> tx_index_;     ///< canonical txs
+  /// Canonical txs; lazily rebuilt, so a const lookup may fill it (the
+  /// chain, like the rest of this class, is not safe for concurrent use).
+  mutable std::unordered_map<Hash256, TxLocation> tx_index_;
+  mutable bool tx_index_stale_ = false;
 
   /// The one materialized state, walked across the tree via deltas.
   WorldState tip_state_;

@@ -1,5 +1,6 @@
 #include "core/platform.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "crypto/sha256.hpp"
@@ -40,6 +41,9 @@ Platform::Platform(PlatformConfig config)
   chain_ = std::make_unique<chain::Blockchain>(genesis, config_.telemetry);
   mempool_.set_telemetry(config_.telemetry);
   mempool_.set_capacity(config_.mempool_capacity);
+  // Admission verifies each signature once and caches it; the miner's
+  // template and the block connect that follow hit the cache.
+  mempool_.set_sig_cache(&chain_->sig_cache());
   // Trace events carry this platform's virtual time until ~Platform detaches
   // the clock (before sim_ is destroyed).
   telemetry::resolve(config_.telemetry)
@@ -235,11 +239,20 @@ void Platform::submit_forged_report(std::size_t detector, const Hash256& sra_id,
 void Platform::attempt_reclaim(std::size_t provider, const Hash256& sra_id) {
   const auto it = sras_.find(sra_id);
   if (it == sras_.end()) return;
-  const SraRuntime& runtime = it->second;
+  SraRuntime& runtime = it->second;
   // Skip if vulnerabilities were confirmed: the reclaim would revert on chain
   // and only burn gas (an honest provider checks the contract first).
   if (contracts::vuln_count_of(chain_->best_state(), runtime.sra.contract) > 0) {
     ++provider_stats_[provider].sras_vulnerable;
+    return;
+  }
+  // A report still in the pipeline (an R† waiting for its k confirmations,
+  // or an R* not yet mined) may yet confirm a vulnerability; reclaiming now
+  // would close the registry under it and its reveal would revert. Look
+  // again after the next block.
+  if (reports_in_flight(sra_id, runtime)) {
+    sim_.after(config_.mean_block_time,
+               [this, provider, sra_id] { attempt_reclaim(provider, sra_id); });
     return;
   }
   const crypto::KeyPair& key = provider_keys_[provider];
@@ -255,7 +268,24 @@ void Platform::attempt_reclaim(std::size_t provider, const Hash256& sra_id) {
     --next_nonce_[key.address()];
     return;
   }
+  runtime.closing = true;  // the gate now refuses new reports for this SRA
   pending_reclaims_[tx.id()] = {provider, sra_id};
+}
+
+bool Platform::reports_in_flight(const Hash256& sra_id, SraRuntime& runtime) {
+  // A reveal leaves the mempool in the block that carries it, and that
+  // block's receipts are processed before any later reclaim attempt.
+  std::erase_if(runtime.reveal_txs,
+                [this](const Hash256& id) { return !mempool_.contains(id); });
+  if (!runtime.reveal_txs.empty()) return true;
+  // An R† counts while it can still confirm: pending or on the chain.
+  for (const PendingReveal& pending : pending_reveals_) {
+    if (pending.revealed || pending.sra_id != sra_id) continue;
+    if (mempool_.contains(pending.initial_tx_id) ||
+        chain_->find_transaction(pending.initial_tx_id))
+      return true;
+  }
+  return false;
 }
 
 void Platform::schedule_next_block() {
@@ -327,11 +357,13 @@ void Platform::process_receipts(const chain::Block& block) {
       } else if (const auto rc = pending_reclaims_.find(receipt.tx_id);
                  rc != pending_reclaims_.end()) {
         provider_stats_[p->second].deploy_gas += receipt.fee_paid;
-        if (receipt.ok()) {
-          const auto sra_it = sras_.find(rc->second.second);
-          if (sra_it != sras_.end())
+        const auto sra_it = sras_.find(rc->second.second);
+        if (sra_it != sras_.end()) {
+          if (receipt.ok())
             provider_stats_[p->second].insurance_recovered +=
                 sra_it->second.sra.insurance;
+          else
+            sra_it->second.closing = false;  // registry still open
         }
         pending_reclaims_.erase(rc);
       }
@@ -370,10 +402,11 @@ void Platform::process_receipts(const chain::Block& block) {
             stats.bounty_income += paid;
             provider_stats_[sra_it->second.provider].bounties_paid += paid;
           }
-        } else if (sra_it != sras_.end()) {
+        } else if (sra_it != sras_.end() && !sra_it->second.closing) {
           // The reveal failed on chain (e.g. escrow exhausted): release the
           // first-reporter claims so another detector can still record the
-          // vulnerability.
+          // vulnerability. Not once the registry is closing: every later
+          // reveal would revert as well.
           for (const detect::Finding& f : detailed->description)
             sra_it->second.claimed_vulns.erase(f.vuln_id);
         }
@@ -383,6 +416,14 @@ void Platform::process_receipts(const chain::Block& block) {
 }
 
 void Platform::flush_ready_reveals() {
+  auto lose_race = [this](std::size_t detector) {
+    ++detector_stats_[detector].reports_lost_race;
+    telemetry::resolve(config_.telemetry)
+        .registry
+        .counter("platform_reports_lost_race_total",
+                 "Reveals rejected at admission (race lost or AutoVerif failure)")
+        .inc();
+  };
   for (PendingReveal& pending : pending_reveals_) {
     if (pending.revealed) continue;
     if (!chain_->tx_confirmed(pending.initial_tx_id, config_.confirmation_depth))
@@ -399,6 +440,17 @@ void Platform::flush_ready_reveals() {
 
     const auto sra_it = sras_.find(pending.sra_id);
     if (sra_it == sras_.end()) continue;
+    // The race is already lost when another reveal of the same finding was
+    // admitted, or the registry is closing: admission would refuse this
+    // reveal, and the detector can see that before signing it.
+    const SraRuntime& runtime = sra_it->second;
+    if (runtime.closing ||
+        std::ranges::any_of(pending.detailed.description, [&](const detect::Finding& f) {
+          return runtime.claimed_vulns.contains(f.vuln_id);
+        })) {
+      lose_race(pending.detector);
+      continue;
+    }
     const crypto::KeyPair& key = detector_keys_[pending.detector];
 
     chain::Transaction tx;
@@ -417,17 +469,15 @@ void Platform::flush_ready_reveals() {
     tx.sign_with(key);
 
     std::string why;
-    if (!mempool_.add(tx, &why)) {
-      // Lost the first-reporter race (or failed AutoVerif): no reveal.
+    if (mempool_.add(tx, &why)) {
+      sra_it->second.reveal_txs.push_back(tx.id());
+    } else {
+      // Failed AutoVerif (or another admission check): no reveal.
       --next_nonce_[key.address()];
-      ++detector_stats_[pending.detector].reports_lost_race;
-      telemetry::resolve(config_.telemetry)
-          .registry
-          .counter("platform_reports_lost_race_total",
-                   "Reveals rejected at admission (race lost or AutoVerif failure)")
-          .inc();
+      lose_race(pending.detector);
     }
   }
+  std::erase_if(pending_reveals_, [](const PendingReveal& p) { return p.revealed; });
 }
 
 bool Platform::admission_gate(const chain::Transaction& tx, std::string& why) {
@@ -477,8 +527,13 @@ bool Platform::admission_gate(const chain::Transaction& tx, std::string& why) {
         why = "r-initial: sender mismatch";
         return false;
       }
-      if (!sras_.contains(initial->sra_id)) {
+      const auto sra_it = sras_.find(initial->sra_id);
+      if (sra_it == sras_.end()) {
         why = "r-initial: unknown SRA";
+        return false;
+      }
+      if (sra_it->second.closing) {
+        why = "r-initial: registry closed";
         return false;
       }
       initials_by_id_[initial->id] = *initial;
@@ -501,6 +556,10 @@ bool Platform::admission_gate(const chain::Transaction& tx, std::string& why) {
       auto sra_it = sras_.find(detailed->sra_id);
       if (sra_it == sras_.end()) {
         why = "r-detailed: unknown SRA";
+        return false;
+      }
+      if (sra_it->second.closing) {
+        why = "r-detailed: registry closed";
         return false;
       }
 

@@ -190,6 +190,8 @@ class Platform {
     std::size_t provider;
     std::size_t corpus_index;     ///< Index into corpus_.systems().
     std::set<std::uint64_t> claimed_vulns;  ///< First-reporter-wins registry.
+    std::vector<Hash256> reveal_txs;  ///< R* admitted, possibly not yet mined.
+    bool closing = false;  ///< Reclaim submitted or landed: no more reports.
   };
 
   void schedule_next_block();
@@ -200,6 +202,7 @@ class Platform {
   bool admission_gate(const chain::Transaction& tx, std::string& why);
   void start_detection(std::size_t detector, const Hash256& sra_id);
   void attempt_reclaim(std::size_t provider, const Hash256& sra_id);
+  bool reports_in_flight(const Hash256& sra_id, SraRuntime& runtime);
   std::uint64_t take_nonce(const Address& addr);
 
   PlatformConfig config_;

@@ -1,16 +1,30 @@
 // secp256k1 elliptic-curve arithmetic and ECDSA, from scratch.
 //
 // The paper's prototype signs SRAs and detection reports with ECDSA over
-// secp256k1 and verifies them in Algorithm 1. We implement:
-//   - the prime field F_p and the scalar field F_n (both of the form
-//     2^256 - c, enabling fast fold-based reduction),
-//   - Jacobian-coordinate point arithmetic,
+// secp256k1 and verifies them in Algorithm 1, so every transaction and
+// protocol payload costs a sign and one or more verifies. We implement:
+//   - the base field F_p with a dedicated reduction: p = 2^256 - 0x1000003D1,
+//     so the high half of a 512-bit product folds back in one multiply by
+//     that 33-bit constant; the scalar field F_n folds by the 129-bit
+//     2^256 - n. Both invert with a variable-time binary extended GCD;
+//   - Jacobian-coordinate point arithmetic: dbl-2009-l doubling (small
+//     constants as additions), madd-2007-bl mixed and add-2007-bl full
+//     addition;
+//   - k·G from a fixed-base comb table (64 four-bit windows x 15 affine
+//     points, built once on first use, thread-safely, with one batched
+//     inversion): sign, derive_public and the u1·G half of verify;
+//   - k·P by width-5 wNAF (the u2·P half of verify); verify compares
+//     x(R) with r in Jacobian coordinates and never inverts in F_p;
 //   - RFC-6979 deterministic nonces (no RNG dependence; signing is a pure
 //     function of key and message, which keeps simulations reproducible),
 //   - low-s normalised ECDSA signatures (Ethereum convention).
+// tests/secp256k1_reference.hpp keeps a textbook generic implementation
+// (full-multiply folds, Fermat inversion, double-and-add) as the
+// differential-test oracle; results are bit-identical to it.
 //
-// This is NOT hardened against side channels (no constant-time scalar
-// multiplication); it targets protocol correctness in a research simulator,
+// This is still NOT constant-time: table lookups, wNAF digits, the GCD
+// inversion and the exceptional-case branches all depend on secret scalars.
+// It targets protocol correctness and throughput in a research simulator,
 // not production key handling.
 #pragma once
 
@@ -27,26 +41,28 @@ const U256& field_prime();
 /// Group order n.
 const U256& group_order();
 
-/// Arithmetic modulo a prime of the form 2^256 - c.
+/// Arithmetic modulo p (Fp()) or n (Fn()). All results are fully reduced.
 class PrimeField {
  public:
-  PrimeField(const U256& modulus, const U256& c) : m_(modulus), c_(c) {}
-
   const U256& modulus() const { return m_; }
 
-  U256 reduce(const U256& a) const;          ///< a mod m (a < 2m required is NOT assumed).
-  U256 reduce512(const U512& t) const;       ///< 512-bit fold reduction.
-  U256 add(const U256& a, const U256& b) const;
-  U256 sub(const U256& a, const U256& b) const;
-  U256 neg(const U256& a) const;
-  U256 mul(const U256& a, const U256& b) const;
+  U256 reduce(const U256& a) const;  ///< a mod m, for any 256-bit a.
+  U256 add(const U256& a, const U256& b) const;  ///< Operands < m.
+  U256 sub(const U256& a, const U256& b) const;  ///< Operands < m.
+  U256 neg(const U256& a) const;                 ///< Operand < m.
+  U256 mul(const U256& a, const U256& b) const;  ///< Any 256-bit operands.
   U256 sqr(const U256& a) const { return mul(a, a); }
   U256 pow(const U256& base, const U256& exp) const;
-  U256 inv(const U256& a) const;  ///< Fermat inverse; a must be non-zero mod m.
+  /// Variable-time inverse (binary extended GCD); 0 maps to 0, like a^(m-2).
+  U256 inv(const U256& a) const;
 
  private:
+  friend const PrimeField& Fp();
+  friend const PrimeField& Fn();
+  PrimeField(const U256& modulus, bool scalar) : m_(modulus), scalar_(scalar) {}
+
   U256 m_;
-  U256 c_;  // 2^256 - m
+  bool scalar_;  // n (folded by 2^256 - n) rather than p
 };
 
 const PrimeField& Fp();  ///< Base field.
@@ -70,6 +86,7 @@ struct JacobianPoint {
   U256 z;
 
   static JacobianPoint identity() { return {U256::one(), U256::one(), U256::zero()}; }
+  /// Reduces the coordinates mod p (they may arrive unreduced from a decoder).
   static JacobianPoint from_affine(const AffinePoint& p);
   bool is_identity() const { return z.is_zero(); }
 
@@ -82,9 +99,9 @@ struct JacobianPoint {
 /// Generator point G.
 const AffinePoint& generator();
 
-/// Scalar multiplication k·P (double-and-add; not constant time).
+/// Scalar multiplication k·P by width-5 wNAF (not constant time).
 JacobianPoint scalar_mul(const U256& k, const AffinePoint& p);
-/// k·G.
+/// k·G from the fixed-base comb table.
 JacobianPoint scalar_mul_base(const U256& k);
 
 /// ECDSA signature, low-s normalised.

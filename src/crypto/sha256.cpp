@@ -2,6 +2,10 @@
 
 #include <cassert>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace sc::crypto {
 
 namespace {
@@ -35,7 +39,7 @@ void Sha256::reset() {
   total_len_ = 0;
 }
 
-void Sha256::transform(std::uint32_t state[8], const std::uint8_t block[64]) {
+void Sha256::transform_portable(std::uint32_t state[8], const std::uint8_t block[64]) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = static_cast<std::uint32_t>(block[4 * i]) << 24 |
@@ -75,6 +79,70 @@ void Sha256::transform(std::uint32_t state[8], const std::uint8_t block[64]) {
   state[5] += f;
   state[6] += g;
   state[7] += h;
+}
+
+namespace {
+
+#if defined(__x86_64__)
+/// The compression function on the x86 SHA extensions: two rounds per
+/// sha256rnds2, with the message schedule in sha256msg1/msg2. The state
+/// lives in the (ABEF, CDGH) register layout the instructions expect.
+__attribute__((target("sha,sse4.1,ssse3"))) void transform_shani(
+    std::uint32_t state[8], const std::uint8_t block[64]) {
+  const __m128i byteswap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  __m128i cdab = _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  __m128i cdgh = _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, cdgh, 8);
+  cdgh = _mm_blend_epi16(cdgh, cdab, 0xF0);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  // w[i % 4] holds schedule words 4i..4i+3; from i = 4 on, each group is
+  // derived from the four groups before it.
+  __m128i w[4];
+  for (int i = 0; i < 16; ++i) {
+    __m128i& cur = w[i & 3];
+    if (i < 4) {
+      cur = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * i)), byteswap);
+    } else {
+      cur = _mm_sha256msg1_epu32(cur, w[(i + 1) & 3]);
+      cur = _mm_add_epi32(cur, _mm_alignr_epi8(w[(i + 3) & 3], w[(i + 2) & 3], 4));
+      cur = _mm_sha256msg2_epu32(cur, w[(i + 3) & 3]);
+    }
+    const __m128i msg = _mm_add_epi32(
+        cur, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRound + 4 * i)));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(msg, 0x0E));
+  }
+
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
+#endif
+
+using TransformFn = void (*)(std::uint32_t*, const std::uint8_t*);
+
+/// Picks the compression function once, on first use, from what the CPU
+/// supports; both produce identical digests.
+TransformFn pick_transform() {
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1") &&
+      __builtin_cpu_supports("ssse3"))
+    return transform_shani;
+#endif
+  return Sha256::transform_portable;
+}
+
+}  // namespace
+
+void Sha256::transform(std::uint32_t state[8], const std::uint8_t block[64]) {
+  static const TransformFn impl = pick_transform();
+  impl(state, block);
 }
 
 Sha256State Sha256::midstate() const {

@@ -48,7 +48,12 @@ class Sha256 {
   static Sha256State initial_state();
   /// Runs the compression function on one 64-byte block, updating `state`
   /// in place. Building block for allocation-free hot paths (PoW mining).
+  /// Dispatches once, on first use, to the x86 SHA extensions when the CPU
+  /// has them, else to transform_portable; both give identical results.
   static void transform(std::uint32_t state[8], const std::uint8_t block[64]);
+  /// The portable compression function, callable directly so tests can pin
+  /// the hardware path against it.
+  static void transform_portable(std::uint32_t state[8], const std::uint8_t block[64]);
 
   /// One-shot convenience.
   static Hash256 digest(util::ByteSpan data);

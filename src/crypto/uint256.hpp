@@ -1,8 +1,9 @@
 // Fixed-width 256-bit unsigned integer.
 //
-// Two consumers: proof-of-work target arithmetic (hash-below-target compare,
-// difficulty→target division) and the secp256k1 field/scalar implementation
-// (via the 512-bit wide-multiply + reduction helpers).
+// Consumers: proof-of-work target arithmetic (hash-below-target compare,
+// difficulty→target division), the VM's and symex's 256-bit words, and the
+// secp256k1 API's field elements and scalars (whose hot arithmetic runs on
+// the limbs directly, inside secp256k1.cpp).
 #pragma once
 
 #include <compare>
@@ -70,17 +71,13 @@ struct U256 {
   static U256 max_value() { return U256{~0ULL, ~0ULL, ~0ULL, ~0ULL}; }
 };
 
-/// 512-bit intermediate for modular reduction; little-endian 64-bit limbs.
+/// 512-bit product of mul_wide; little-endian 64-bit limbs.
 struct U512 {
   std::uint64_t limb[8] = {0, 0, 0, 0, 0, 0, 0, 0};
 
   bool high_is_zero() const { return (limb[4] | limb[5] | limb[6] | limb[7]) == 0; }
   U256 low() const { return {limb[0], limb[1], limb[2], limb[3]}; }
   U256 high() const { return {limb[4], limb[5], limb[6], limb[7]}; }
-
-  static U512 from_parts(const U256& lo, const U256& hi);
-  /// 512-bit wrapping add.
-  static U512 add(const U512& a, const U512& b);
 };
 
 }  // namespace sc::crypto

@@ -314,19 +314,18 @@ void BlockStore::scan_snapshot_dir() {
       continue;
     }
     if (name.substr(name.size() - 5) != ".snap") continue;
-    // Trust the payload, not the file name: read height + id from the record.
-    auto opened =
-        RecordLog::open(entry.path().string(), false, nullptr, "store.snap");
-    if (!opened || !opened->log) continue;
-    opened->log->scan([&](std::uint64_t, util::Bytes payload) {
-      util::Reader r(payload);
-      const auto height = r.u64();
-      const auto id = r.raw(32);
-      if (height && id)
-        snapshots_[crypto::Hash256::from_span(*id)] = {*height,
-                                                       entry.path().string()};
-      return false;  // single-record file
-    });
+    // Trust the payload, not the file name: read height + id from the
+    // record header. Only those 40 bytes are read here, since checksumming
+    // every state-sized snapshot (one per flatten interval) would make
+    // reopen quadratic in chain length; load_snapshot checks the CRC of the
+    // one open() loads and open() falls back to an older one if it fails.
+    const auto header = RecordLog::peek_first(entry.path().string(), 8 + 32);
+    if (!header) continue;
+    util::Reader r(*header);
+    const auto height = r.u64();
+    const auto id = r.raw(32);
+    if (height && id)
+      snapshots_[crypto::Hash256::from_span(*id)] = {*height, entry.path().string()};
   }
 }
 
@@ -628,21 +627,16 @@ std::optional<chain::WorldState> BlockStore::load_snapshot(
     const crypto::Hash256& id) const {
   const auto it = snapshots_.find(id);
   if (it == snapshots_.end()) return std::nullopt;
-  auto opened =
-      RecordLog::open(it->second.second, false, nullptr, "store.snap");
-  if (!opened || !opened->log) return std::nullopt;
-  std::optional<chain::WorldState> state;
-  opened->log->scan([&](std::uint64_t, util::Bytes payload) {
-    util::Reader r(payload);
-    const auto height = r.u64();
-    const auto rec_id = r.raw(32);
-    const auto state_bytes = r.bytes_bounded(r.remaining());
-    if (height && rec_id && state_bytes && r.empty() &&
-        crypto::Hash256::from_span(*rec_id) == id)
-      state = chain::WorldState::decode(*state_bytes);
-    return false;
-  });
-  return state;
+  const auto payload = RecordLog::read_first(it->second.second);
+  if (!payload) return std::nullopt;
+  util::Reader r(*payload);
+  const auto height = r.u64();
+  const auto rec_id = r.raw(32);
+  const auto state_bytes = r.bytes_bounded(r.remaining());
+  if (!height || !rec_id || !state_bytes || !r.empty() ||
+      crypto::Hash256::from_span(*rec_id) != id)
+    return std::nullopt;
+  return chain::WorldState::decode(*state_bytes);
 }
 
 std::vector<std::pair<std::uint64_t, crypto::Hash256>> BlockStore::snapshots()

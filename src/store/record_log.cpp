@@ -189,6 +189,42 @@ std::optional<RecordLog::OpenResult> RecordLog::open(const std::string& path,
   return result;
 }
 
+std::optional<util::Bytes> RecordLog::peek_first(const std::string& path,
+                                                 std::size_t max_bytes) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  std::optional<util::Bytes> out;
+  struct stat st{};
+  std::uint8_t head[kHeaderSize + kFrameSize];
+  if (::fstat(fd, &st) == 0 && pread_all(fd, 0, head, sizeof head) &&
+      std::memcmp(head, kFileMagic, kHeaderSize) == 0) {
+    const std::uint32_t len = load_u32(head + kHeaderSize);
+    util::Bytes bytes(max_bytes);
+    if (len >= max_bytes && len <= kMaxRecordLen &&
+        kHeaderSize + kFrameSize + len <= static_cast<std::uint64_t>(st.st_size) &&
+        pread_all(fd, kHeaderSize + kFrameSize, bytes.data(), max_bytes))
+      out = std::move(bytes);
+  }
+  ::close(fd);
+  return out;
+}
+
+std::optional<util::Bytes> RecordLog::read_first(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  std::optional<util::Bytes> out;
+  struct stat st{};
+  std::uint8_t magic[kHeaderSize];
+  util::Bytes payload;
+  std::uint64_t next = 0;
+  if (::fstat(fd, &st) == 0 && pread_all(fd, 0, magic, kHeaderSize) &&
+      std::memcmp(magic, kFileMagic, kHeaderSize) == 0 &&
+      read_record(fd, kHeaderSize, static_cast<std::uint64_t>(st.st_size), payload, next))
+    out = std::move(payload);
+  ::close(fd);
+  return out;
+}
+
 std::optional<RecordLog::OpenResult> RecordLog::open_read_only(
     const std::string& path, std::string* why) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);

@@ -62,6 +62,18 @@ class RecordLog {
   static std::optional<OpenResult> open_read_only(const std::string& path,
                                                   std::string* why);
 
+  /// The first `max_bytes` bytes of the file's first record payload, NOT
+  /// checksummed: a cheap peek at a record header (snapshot height and id)
+  /// whose full read verifies the CRC later. nullopt when the file is
+  /// missing, has a bad magic, or its first record is shorter than
+  /// `max_bytes` or runs past the end of the file.
+  static std::optional<util::Bytes> peek_first(const std::string& path,
+                                               std::size_t max_bytes);
+  /// The file's first record payload, CRC-verified, read in one pass
+  /// without opening the log for append (no tail repair). nullopt when the
+  /// file is missing, has a bad magic, or the record is torn or corrupt.
+  static std::optional<util::Bytes> read_first(const std::string& path);
+
   ~RecordLog();
   RecordLog(const RecordLog&) = delete;
   RecordLog& operator=(const RecordLog&) = delete;

@@ -252,5 +252,75 @@ TEST(Platform, ConfirmationLatencyHistogramPopulated) {
   EXPECT_TRUE(saw_confirmed_counter);
 }
 
+TEST(Platform, TemplateHitsSignatureCacheForAdmittedTransactions) {
+  // Admission verifies each signature once into the chain's cache, so the
+  // miner's template, the block's validation loop and its execution all hit
+  // it: every ECDSA verify the cache ran happened at an admission call.
+  telemetry::Telemetry tel;
+  PlatformConfig config = small_config(19);
+  config.telemetry = &tel;
+  Platform platform(std::move(config));
+  for (std::size_t p = 0; p < 4; ++p)
+    platform.release_system(p, p == 3 ? 0.0 : 1.0, 1000 * kEther, 10 * kEther);
+  platform.run_for(1200.0);
+
+  const chain::Blockchain& chain = platform.blockchain();
+  std::uint64_t included = 0;
+  for (std::uint64_t h = 1; h <= chain.best_height(); ++h)
+    included += chain.block_at(h)->transactions.size();
+  ASSERT_GT(included, 10u);
+
+  auto counter = [&tel](const char* name, const char* help,
+                        telemetry::Labels labels = {}) {
+    return tel.registry.counter(name, help, std::move(labels)).value();
+  };
+  const char* rejected_help = "Transactions refused admission, by reason";
+  const std::uint64_t admitted =
+      counter("mempool_admitted_total", "Transactions admitted to the pool");
+  // Refused after the signature check passed (and was cached).
+  std::uint64_t refused_after_check = 0;
+  for (const char* reason : {"gate", "duplicate", "full"})
+    refused_after_check += counter("mempool_rejected_total", rejected_help,
+                                   {{"reason", reason}});
+  EXPECT_EQ(counter("mempool_rejected_total", rejected_help, {{"reason", "invalid"}}), 0u);
+  ASSERT_GE(admitted, included);
+
+  const chain::SigCache& cache = chain.sig_cache();
+  EXPECT_EQ(cache.misses(), admitted + refused_after_check);
+  // Template execution, block validation and block execution: three hits
+  // per included transaction.
+  EXPECT_GE(cache.hits(), 3 * included);
+}
+
+TEST(Platform, ReclaimWaitsForPendingReveals) {
+  // A reclaim window shorter than the R† -> k confirmations -> R* pipeline,
+  // with slow blocks: the provider must not close the registry while
+  // reports are in flight, and no reveal may revert.
+  PlatformConfig config = small_config(23);
+  config.mean_block_time = 30.0;
+  config.reclaim_delay = 60.0;
+  Platform platform(std::move(config));
+  const Hash256 sra_id = platform.release_system(0, 1.0, 1000 * kEther, 10 * kEther);
+  platform.run_for(3000.0);
+
+  const chain::Blockchain& chain = platform.blockchain();
+  std::uint64_t reveals = 0;
+  for (std::uint64_t h = 1; h <= chain.best_height(); ++h) {
+    const chain::Block* block = chain.block_at(h);
+    const auto* receipts = chain.receipts(block->id());
+    ASSERT_NE(receipts, nullptr);
+    for (std::size_t i = 0; i < block->transactions.size(); ++i) {
+      if (block->transactions[i].protocol != chain::ProtocolKind::kDetailedReport) continue;
+      ++reveals;
+      EXPECT_TRUE((*receipts)[i].ok()) << "reveal reverted at height " << h;
+    }
+  }
+  EXPECT_GT(reveals, 0u);
+  EXPECT_GT(platform.confirmed_vulnerabilities(sra_id), 0u);
+  // Vulnerabilities confirmed: the insurance stays escrowed for bounties.
+  EXPECT_EQ(platform.provider_stats(0).insurance_recovered, Amount{0});
+  EXPECT_EQ(platform.provider_stats(0).sras_vulnerable, 1u);
+}
+
 }  // namespace
 }  // namespace sc::core

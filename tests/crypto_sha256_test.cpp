@@ -1,10 +1,12 @@
 // SHA-256 against FIPS 180-2 / NIST CAVP vectors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "crypto/sha256.hpp"
 #include "util/bytes.hpp"
+#include "util/rng.hpp"
 
 namespace sc::crypto {
 namespace {
@@ -153,6 +155,23 @@ TEST(Sha256, TransformMatchesDigestOfOneBlock) {
 TEST(Sha256, HexOfHelperSanity) {
   const util::Bytes data{0xde, 0xad};
   EXPECT_EQ(hex_of(data), "dead");
+}
+
+TEST(Sha256, DispatchedTransformMatchesPortable) {
+  // transform() may run on the CPU's SHA extensions; it must agree with the
+  // portable compression function on random states and blocks.
+  util::Rng rng(64);
+  for (int i = 0; i < 2000; ++i) {
+    std::uint32_t a[8];
+    for (auto& word : a) word = static_cast<std::uint32_t>(rng.next_u64());
+    std::uint32_t b[8];
+    std::copy(a, a + 8, b);
+    util::Bytes block;
+    rng.fill(block, 64);
+    Sha256::transform(a, block.data());
+    Sha256::transform_portable(b, block.data());
+    ASSERT_TRUE(std::equal(a, a + 8, b)) << "round " << i;
+  }
 }
 
 }  // namespace
